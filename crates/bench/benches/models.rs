@@ -9,7 +9,7 @@ use std::hint::black_box;
 use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::clustering::average_local_clustering;
 use agmdp_graph::triangles::count_triangles;
-use agmdp_models::{ChungLuModel, StructuralModel, TclModel, TriCycLeModel};
+use agmdp_models::{ChungLuModel, SampleSpec, StructuralModel, TclModel, TriCycLeModel};
 
 fn models(c: &mut Criterion) {
     let input = generate_dataset(&DatasetSpec::lastfm().scaled(0.3), 11).expect("dataset");
@@ -29,7 +29,7 @@ fn models(c: &mut Criterion) {
     group.bench_function("fcl_generate", |b| {
         let model = ChungLuModel::new(degrees.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.sample(&SampleSpec::graph(), &mut rng).unwrap()));
     });
 
     group.bench_function("tcl_fit_rho_em", |b| {
@@ -39,13 +39,13 @@ fn models(c: &mut Criterion) {
     group.bench_function("tcl_generate", |b| {
         let model = TclModel::fit(&input, 10).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.sample(&SampleSpec::graph(), &mut rng).unwrap()));
     });
 
     group.bench_function("tricycle_generate", |b| {
         let model = TriCycLeModel::new(degrees.clone(), triangles).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.sample(&SampleSpec::graph(), &mut rng).unwrap()));
     });
 
     group.finish();

@@ -27,7 +27,7 @@ use agmdp_models::chung_lu::ChungLuModel;
 use agmdp_models::observe::{NoopStageObserver, StageObserver, SynthesisStage};
 use agmdp_models::parallel::map_node_chunks;
 use agmdp_models::tricycle::TriCycLeModel;
-use agmdp_models::{ExecPolicy, StructuralModel};
+use agmdp_models::{ExecPolicy, Sample, SampleOutput, SampleSpec, StructuralModel};
 use agmdp_privacy::budget::BudgetSplit;
 
 use crate::acceptance::acceptance_probabilities;
@@ -281,10 +281,14 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     // leave `rng` in the same state (the chunk streams never touch it).
     let attribute_master = rng.next_u64();
 
+    let plain = SampleSpec::graph()
+        .with_policy(&policy)
+        .with_observer(observer);
+
     // Unattributed graphs skip attribute sampling and the accept/reject
     // machinery entirely.
     if params.schema.width() == 0 {
-        return Ok(model.generate_par_observed(&policy, rng, observer)?);
+        return Ok(model.sample(&plain, rng)?.into_graph()?);
     }
 
     // Sample fresh attribute vectors X̃ from Θ̃_X, one node chunk per stream.
@@ -301,31 +305,37 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     );
     observer.stage_end(SynthesisStage::AttrSample);
 
-    // Temporary edge set E', independent of the attributes. With no
-    // refinement iterations it *is* the release and must be materialised;
-    // otherwise only its Θ_F is observed, so the edge list suffices and the
-    // model may skip building the graph (the stream-identity contract of
-    // `generate_edge_list_par_observed` guarantees the same sample either
-    // way).
-    if config.refinement_iterations == 0 {
-        let temp = model.generate_par_observed(&policy, rng, observer)?;
-        return Ok(temp.with_attributes(params.schema, &codes)?);
-    }
-    let mut current = model.generate_edge_list_par_observed(&policy, rng, observer)?;
-
+    // Iteration 0 samples the temporary edge set E', independent of the
+    // attributes; each later iteration resamples with the acceptance
+    // probabilities derived from the previous sample. Only the last sample is
+    // released and materialised as a graph. The earlier ones are observed
+    // through Θ_F and discarded, so they stay edge lists, which the
+    // stream-identity contract of `StructuralModel::sample` makes safe.
+    let mut ctx: Option<AcceptanceContext> = None;
     let mut previous_acceptance: Option<Vec<f64>> = None;
-    for iteration in 0..config.refinement_iterations {
-        let observed = ThetaF::from_edges(params.schema, &codes, &current);
+    for iteration in 0..=config.refinement_iterations {
+        let output = if iteration == config.refinement_iterations {
+            SampleOutput::Graph
+        } else {
+            SampleOutput::EdgeList
+        };
+        let spec = match &ctx {
+            Some(ctx) => plain.with_acceptance(ctx),
+            None => plain,
+        };
+        let edges = match model.sample(&spec.with_output(output), rng)? {
+            Sample::EdgeList(edges) => edges,
+            // With no refinement iterations E' itself is the release.
+            Sample::Graph(graph) if ctx.is_none() => {
+                return Ok(graph.with_attributes(params.schema, &codes)?)
+            }
+            Sample::Graph(graph) => return Ok(graph),
+        };
+        let observed = ThetaF::from_edges(params.schema, &codes, &edges);
         let acceptance =
             acceptance_probabilities(&params.theta_f, &observed, previous_acceptance.as_deref());
-        let ctx = AcceptanceContext::new(codes.clone(), params.schema, acceptance.clone())?;
-        // Only the last iteration's sample is released; the earlier ones are
-        // observed and discarded, so they stay edge lists.
-        if iteration + 1 == config.refinement_iterations {
-            return Ok(model.generate_with_acceptance_par_observed(&ctx, &policy, rng, observer)?);
-        }
-        current =
-            model.generate_with_acceptance_edge_list_par_observed(&ctx, &policy, rng, observer)?;
+        let next = AcceptanceContext::new(codes.clone(), params.schema, acceptance.clone())?;
+        ctx = Some(next);
         previous_acceptance = Some(acceptance);
     }
     unreachable!("the refinement loop returns on its last iteration")

@@ -15,7 +15,7 @@ use rand_chacha::ChaCha12Rng;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 use agmdp_models::acceptance::AcceptanceContext;
 use agmdp_models::tricycle::TriCycLeModel;
-use agmdp_models::{ModelError, StructuralModel};
+use agmdp_models::{ModelError, SampleSpec, StructuralModel};
 
 use crate::spec::DatasetSpec;
 
@@ -40,7 +40,9 @@ pub fn generate_dataset(spec: &DatasetSpec, seed: u64) -> Result<AttributedGraph
     let model = TriCycLeModel::new(degrees, spec.triangles)?
         .with_orphan_extension(true)
         .with_max_iteration_factor(20);
-    model.generate_with_acceptance(&ctx, &mut rng)
+    model
+        .sample(&SampleSpec::graph().with_acceptance(&ctx), &mut rng)?
+        .into_graph()
 }
 
 /// Samples a power-law-like degree sequence with the given total, maximum

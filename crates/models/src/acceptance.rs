@@ -7,7 +7,9 @@
 //! per-configuration acceptance probabilities together with the attribute
 //! codes that were sampled for the synthetic nodes; [`StructuralModel`] is the
 //! trait each generator implements so AGM-DP can swap FCL, TCL or TriCycLe
-//! without changing the workflow.
+//! without changing the workflow. Its one operation,
+//! [`StructuralModel::sample`], takes a [`SampleSpec`] that carries the
+//! choices of the call and returns a [`Sample`].
 
 use rand::Rng;
 use rand::RngCore;
@@ -15,7 +17,7 @@ use rand::RngCore;
 use agmdp_graph::{AttributeSchema, AttributedGraph, Edge, NodeId};
 
 use crate::error::ModelError;
-use crate::observe::{StageObserver, SynthesisStage};
+use crate::observe::{NoopStageObserver, StageObserver};
 use crate::parallel::ExecPolicy;
 use crate::Result;
 
@@ -81,23 +83,151 @@ impl AcceptanceContext {
         rng.gen::<f64>() <= self.probability(u, v)
     }
 
-    /// Validates that the context carries exactly `num_nodes` attribute
-    /// codes (every model checks this before generating with the context).
-    pub fn check_node_count(&self, num_nodes: usize) -> Result<()> {
-        if self.attribute_codes.len() != num_nodes {
-            return Err(ModelError::AcceptanceMismatch(format!(
-                "model has {num_nodes} nodes but context has {} attribute codes",
-                self.attribute_codes.len()
-            )));
-        }
-        Ok(())
-    }
-
     /// Copies the attribute codes onto a generated graph.
     pub fn apply_attributes(&self, graph: &mut AttributedGraph) -> Result<()> {
         graph
             .set_all_attribute_codes(&self.attribute_codes)
             .map_err(|e| ModelError::AcceptanceMismatch(e.to_string()))
+    }
+}
+
+/// Which form a [`StructuralModel::sample`] call returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleOutput {
+    /// The sampled graph, carrying the acceptance context's attribute codes.
+    Graph,
+    /// Only the sampled edges, for callers that inspect the edge multiset and
+    /// discard the sample: the AGM refinement loop observes Θ_F of each
+    /// intermediate graph and never reads its adjacency. A model may skip
+    /// materialising the graph.
+    EdgeList,
+}
+
+/// The choices of one [`StructuralModel::sample`] call: an optional
+/// acceptance filter, an optional execution policy, the stage observer and
+/// the output kind.
+///
+/// [`SampleSpec::graph`] starts from the plain form (no acceptance filter,
+/// the sequential reference sampler, no observer, a graph); the `with_*`
+/// builders change the rest.
+#[derive(Clone, Copy)]
+pub struct SampleSpec<'a> {
+    acceptance: Option<&'a AcceptanceContext>,
+    policy: Option<&'a ExecPolicy>,
+    observer: &'a dyn StageObserver,
+    output: SampleOutput,
+}
+
+impl<'a> SampleSpec<'a> {
+    /// A plain graph sample: the structural parameters alone, as used for
+    /// the temporary edge set `E'` in Algorithm 3.
+    #[must_use]
+    pub fn graph() -> Self {
+        Self {
+            acceptance: None,
+            policy: None,
+            observer: &NoopStageObserver,
+            output: SampleOutput::Graph,
+        }
+    }
+
+    /// Filters every proposed edge by the acceptance probabilities in `ctx`;
+    /// a graph sample then carries the context's attribute codes.
+    #[must_use]
+    pub fn with_acceptance(mut self, ctx: &'a AcceptanceContext) -> Self {
+        self.acceptance = Some(ctx);
+        self
+    }
+
+    /// Samples edges on the chunked, deterministically parallel engine of
+    /// [`crate::parallel`] instead of the sequential reference sampler.
+    #[must_use]
+    pub fn with_policy(mut self, policy: &'a ExecPolicy) -> Self {
+        self.policy = Some(policy);
+        self
+    }
+
+    /// Reports stage boundaries to `observer`.
+    #[must_use]
+    pub fn with_observer(mut self, observer: &'a dyn StageObserver) -> Self {
+        self.observer = observer;
+        self
+    }
+
+    /// Asks for `output` instead of the current output kind.
+    #[must_use]
+    pub fn with_output(mut self, output: SampleOutput) -> Self {
+        self.output = output;
+        self
+    }
+
+    /// The acceptance context, checked against the model's node count. This
+    /// is the only way a model reads the context, so every model rejects a
+    /// mismatched one before it draws anything.
+    pub fn acceptance_for(&self, num_nodes: usize) -> Result<Option<&'a AcceptanceContext>> {
+        match self.acceptance {
+            Some(ctx) if ctx.attribute_codes.len() != num_nodes => {
+                Err(ModelError::AcceptanceMismatch(format!(
+                    "model has {num_nodes} nodes but context has {} attribute codes",
+                    ctx.attribute_codes.len()
+                )))
+            }
+            acceptance => Ok(acceptance),
+        }
+    }
+
+    /// The execution policy; `None` selects the sequential reference sampler.
+    #[must_use]
+    pub fn policy(&self) -> Option<&'a ExecPolicy> {
+        self.policy
+    }
+
+    /// The stage observer ([`NoopStageObserver`] unless one was given).
+    #[must_use]
+    pub fn observer(&self) -> &'a dyn StageObserver {
+        self.observer
+    }
+
+    /// The requested output kind.
+    #[must_use]
+    pub fn output(&self) -> SampleOutput {
+        self.output
+    }
+
+    /// Returns a sampled graph in the requested output kind; a graph sample
+    /// gets the acceptance context's attribute codes.
+    pub fn finish(&self, mut graph: AttributedGraph) -> Result<Sample> {
+        match self.output {
+            SampleOutput::Graph => {
+                if let Some(ctx) = self.acceptance {
+                    ctx.apply_attributes(&mut graph)?;
+                }
+                Ok(Sample::Graph(graph))
+            }
+            SampleOutput::EdgeList => Ok(Sample::EdgeList(graph.edge_vec())),
+        }
+    }
+}
+
+/// What a [`StructuralModel::sample`] call returns: the output kind its
+/// [`SampleSpec`] asked for.
+#[derive(Debug)]
+pub enum Sample {
+    /// A full graph ([`SampleOutput::Graph`]).
+    Graph(AttributedGraph),
+    /// The sampled edges only ([`SampleOutput::EdgeList`]).
+    EdgeList(Vec<Edge>),
+}
+
+impl Sample {
+    /// The sampled graph; an error for an edge-list sample, which has none.
+    pub fn into_graph(self) -> Result<AttributedGraph> {
+        match self {
+            Sample::Graph(graph) => Ok(graph),
+            Sample::EdgeList(_) => Err(ModelError::InvalidParameter(
+                "an edge-list sample carries no graph".to_string(),
+            )),
+        }
     }
 }
 
@@ -108,114 +238,35 @@ pub trait StructuralModel {
     /// Number of nodes in the graphs this model generates.
     fn num_nodes(&self) -> usize;
 
-    /// Generates a graph from the structural parameters alone (no attribute
-    /// correlations), as used for the temporary edge set `E'` in Algorithm 3.
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph>;
-
-    /// Generates a graph whose proposed edges are additionally filtered by the
-    /// acceptance probabilities in `ctx`; the returned graph carries the
-    /// context's attribute codes.
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph>;
-
-    /// [`StructuralModel::generate`] under an execution policy: the chunked,
-    /// deterministically parallel sampling path of [`crate::parallel`].
+    /// Samples one graph, or its edge list, as `spec` asks.
     ///
-    /// Implementations must guarantee that `policy.threads()` never changes
-    /// the output — only how chunks are scheduled. The default implementation
-    /// trivially satisfies that contract by ignoring the policy and running
-    /// the serial sampler.
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        let _ = policy;
-        self.generate(rng)
-    }
-
-    /// [`StructuralModel::generate_with_acceptance`] under an execution
-    /// policy, with the same thread-count-invariance contract as
-    /// [`StructuralModel::generate_par`].
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        let _ = policy;
-        self.generate_with_acceptance(ctx, rng)
-    }
-
-    /// [`StructuralModel::generate_par`] with stage-boundary callbacks.
-    /// The default brackets the whole run as
-    /// [`SynthesisStage::EdgeSample`]; models with a distinct rewiring
-    /// phase (TriCycLe, the orphan post-process) override this to report
-    /// the [`SynthesisStage::Rewire`] boundary too. Observers receive
-    /// *only* callbacks — no implementation here may read a clock.
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let result = self.generate_par(policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        result
-    }
-
-    /// [`StructuralModel::generate_with_acceptance_par`] with stage-boundary
-    /// callbacks, under the same contract as
-    /// [`StructuralModel::generate_par_observed`].
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let result = self.generate_with_acceptance_par(ctx, policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        result
-    }
-
-    /// [`StructuralModel::generate_par_observed`], stopping at the edge
-    /// list. For callers that only inspect the edge multiset and discard
-    /// the sample — the AGM refinement loop observes Θ_F of each
-    /// intermediate graph and never reads its adjacency — a model may
-    /// override this to skip materialising the graph.
+    /// Every implementation keeps four contracts:
     ///
-    /// Contract: the RNG stream consumed and the edge *set* returned must
-    /// be identical to [`StructuralModel::generate_par_observed`] at the
-    /// same state (only the enumeration order may differ), so switching a
-    /// call site between the two variants can never change downstream
-    /// output. The default delegates to the graph path.
-    fn generate_edge_list_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        Ok(self
-            .generate_par_observed(policy, rng, observer)?
-            .edge_vec())
-    }
+    /// * **Acceptance.** The context comes from
+    ///   [`SampleSpec::acceptance_for`], so a context whose node count does
+    ///   not match the model is rejected before any draw.
+    /// * **Thread-count invariance.** Under a policy, `policy.threads()`
+    ///   changes only how chunks are scheduled, never the output.
+    /// * **Stream identity.** An edge-list sample holds the same edge *set*
+    ///   as the graph sample at the same RNG state (only the enumeration
+    ///   order may differ) and consumes the same RNG stream, so switching a
+    ///   call site between the two output kinds never changes downstream
+    ///   output.
+    /// * **Stages.** The observer sees balanced, non-nested
+    ///   [`EdgeSample`](crate::SynthesisStage::EdgeSample) /
+    ///   [`Rewire`](crate::SynthesisStage::Rewire) brackets. Observers
+    ///   receive *only* callbacks: no implementation may read a clock.
+    fn sample(&self, spec: &SampleSpec<'_>, rng: &mut dyn RngCore) -> Result<Sample>;
+}
 
-    /// [`StructuralModel::generate_with_acceptance_par_observed`], stopping
-    /// at the edge list, under the same stream-identity contract as
-    /// [`StructuralModel::generate_edge_list_par_observed`].
-    fn generate_with_acceptance_edge_list_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        Ok(self
-            .generate_with_acceptance_par_observed(ctx, policy, rng, observer)?
-            .edge_vec())
-    }
+/// Test shorthand: samples `spec` from `model` and unwraps the graph.
+#[cfg(test)]
+pub(crate) fn sample_graph(
+    model: &dyn StructuralModel,
+    spec: &SampleSpec<'_>,
+    rng: &mut dyn RngCore,
+) -> Result<AttributedGraph> {
+    model.sample(spec, rng)?.into_graph()
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //!
 //! CL generates a graph matching a desired degree sequence in expectation by
 //! sampling both endpoints of every edge from the degree-proportional
-//! distribution π (Section 3.3). The FCL implementation keeps a pool of node
-//! ids repeated by degree so each endpoint draw is constant time; proposals
-//! that would create self-loops or duplicate edges are redrawn, which is the
-//! bias-corrected variant (cFCL) behaviour of resampling rather than silently
-//! dropping edge slots.
+//! distribution π (Section 3.3). FCL draws each endpoint in constant time
+//! from π's Walker alias table ([`crate::pi`]); proposals that would create
+//! self-loops or duplicate edges are redrawn, which is the bias-corrected
+//! variant (cFCL) behaviour of resampling rather than silently dropping edge
+//! slots. TCL and TriCycLe share this CL seed phase (`sample_cl_edges`
+//! sequentially, or the chunked parallel engine under a policy).
 //!
 //! The model optionally applies AGM acceptance probabilities to every proposal
 //! (used by AGM-DP-FCL) and optionally excludes degree-one nodes from π and
@@ -18,9 +19,9 @@ use rand::RngCore;
 use agmdp_graph::graph::Edge;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
+use crate::acceptance::{AcceptanceContext, Sample, SampleOutput, SampleSpec, StructuralModel};
 use crate::error::ModelError;
-use crate::observe::{NoopStageObserver, StageObserver, SynthesisStage};
+use crate::observe::SynthesisStage;
 use crate::parallel::{chunk_rng, run_chunks, BlockRng, ExecPolicy};
 use crate::pi::PiSampler;
 use crate::postprocess::wire_orphans;
@@ -99,7 +100,7 @@ pub(crate) fn sample_cl_edges(
 /// serial [`sample_cl_edges`], which redraws rejected proposals from a
 /// single sequential RNG — and the per-draw sequence itself is pinned by
 /// the goldens; see `docs/ARCHITECTURE.md`.)
-pub(crate) fn sample_cl_edges_chunked(
+fn sample_cl_edges_chunked(
     n: usize,
     pi: &PiSampler,
     target_edges: usize,
@@ -114,13 +115,35 @@ pub(crate) fn sample_cl_edges_chunked(
     (graph, order)
 }
 
+/// The Chung-Lu seed phase every model starts from: `target_edges` CL edges
+/// over `n` nodes, drawn by the chunked engine under a `policy` and by the
+/// sequential reference sampler [`sample_cl_edges`] otherwise. The graph
+/// takes the acceptance context's schema; [`SampleSpec::finish`] stamps the
+/// codes.
+pub(crate) fn sample_cl_graph(
+    n: usize,
+    pi: &PiSampler,
+    target_edges: usize,
+    acceptance: Option<&AcceptanceContext>,
+    policy: Option<&ExecPolicy>,
+    rng: &mut dyn RngCore,
+) -> (AttributedGraph, Vec<Edge>) {
+    let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
+    match policy {
+        Some(policy) => {
+            sample_cl_edges_chunked(n, pi, target_edges, schema, acceptance, policy, rng)
+        }
+        None => sample_cl_edges(n, pi, target_edges, schema, acceptance, rng),
+    }
+}
+
 /// The sampling core of [`sample_cl_edges_chunked`], stopping at the
 /// deduplicated edge list: same chunk layout, same draw sequence, same
 /// accepted edges in the same order — the adjacency structure is just never
 /// materialised. Callers that only need the edge multiset (the AGM
 /// refinement loop observes Θ_F of intermediate samples and discards them)
 /// use this to skip the `O(n + m)` graph build.
-pub(crate) fn sample_cl_edge_list_chunked(
+fn sample_cl_edge_list_chunked(
     pi: &PiSampler,
     target_edges: usize,
     acceptance: Option<&AcceptanceContext>,
@@ -260,19 +283,21 @@ fn edge_key(e: &Edge) -> u64 {
 /// The Chung-Lu / FCL structural model.
 ///
 /// ```
-/// use agmdp_models::{ChungLuModel, ExecPolicy, StructuralModel};
+/// use agmdp_models::{ChungLuModel, ExecPolicy, Sample, SampleSpec, StructuralModel};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let model = ChungLuModel::new(vec![3; 40]).unwrap();
 /// // The chunked engine's contract: the thread count never changes the
 /// // output, only how chunks are scheduled.
-/// let serial = model
-///     .generate_par(&ExecPolicy::new(1), &mut StdRng::seed_from_u64(7))
-///     .unwrap();
-/// let parallel = model
-///     .generate_par(&ExecPolicy::new(4), &mut StdRng::seed_from_u64(7))
-///     .unwrap();
+/// let sample = |threads: usize| {
+///     let policy = ExecPolicy::new(threads);
+///     model
+///         .sample(&SampleSpec::graph().with_policy(&policy), &mut StdRng::seed_from_u64(7))
+///         .and_then(Sample::into_graph)
+///         .unwrap()
+/// };
+/// let (serial, parallel) = (sample(1), sample(4));
 /// assert_eq!(serial.edge_vec(), parallel.edge_vec());
 /// assert_eq!(serial.num_edges(), model.target_edges());
 /// ```
@@ -280,7 +305,7 @@ fn edge_key(e: &Edge) -> u64 {
 pub struct ChungLuModel {
     degrees: Vec<usize>,
     /// The π alias table, built once at construction and shared by every
-    /// generate call (the AGM workflow samples from the same model four
+    /// sample call (the AGM workflow samples from the same model four
     /// times per synthesis: the temporary edge set plus each refinement).
     pi: PiSampler,
     target_edges: usize,
@@ -328,71 +353,6 @@ impl ChungLuModel {
     pub fn target_edges(&self) -> usize {
         self.target_edges
     }
-
-    /// Generation body. The observer sees CL sampling as
-    /// [`SynthesisStage::EdgeSample`] and the optional orphan post-process
-    /// (Algorithm 2) as [`SynthesisStage::Rewire`]; no clock is read here.
-    fn generate_inner(
-        &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
-        let pi = &self.pi;
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, _order) = match policy {
-            Some(policy) => sample_cl_edges_chunked(
-                self.degrees.len(),
-                pi,
-                self.target_edges,
-                schema,
-                acceptance,
-                policy,
-                rng,
-            ),
-            None => sample_cl_edges(
-                self.degrees.len(),
-                pi,
-                self.target_edges,
-                schema,
-                acceptance,
-                rng,
-            ),
-        };
-        let applied = match acceptance {
-            Some(ctx) => ctx.apply_attributes(&mut graph),
-            None => Ok(()),
-        };
-        observer.stage_end(SynthesisStage::EdgeSample);
-        applied?;
-        if self.postprocess_orphans {
-            observer.stage_start(SynthesisStage::Rewire);
-            wire_orphans(&mut graph, &self.degrees, pi, rng);
-            observer.stage_end(SynthesisStage::Rewire);
-        }
-        Ok(graph)
-    }
-
-    /// Edge-list-only generation body: the chunked sampler without the final
-    /// adjacency build. Only valid when orphan post-processing is off —
-    /// Algorithm 2 rewires *through* the graph (and draws from the same RNG),
-    /// so callers with orphans enabled must take [`Self::generate_inner`].
-    fn generate_edge_list_inner(
-        &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        debug_assert!(!self.postprocess_orphans);
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let order =
-            sample_cl_edge_list_chunked(&self.pi, self.target_edges, acceptance, policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        Ok(order)
-    }
 }
 
 impl StructuralModel for ChungLuModel {
@@ -400,84 +360,39 @@ impl StructuralModel for ChungLuModel {
         self.degrees.len()
     }
 
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng, &NoopStageObserver)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, observer)
-    }
-
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, observer)
-    }
-
-    fn generate_edge_list_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        if self.postprocess_orphans {
-            // Orphan rewiring needs (and mutates) the adjacency structure:
-            // take the graph path so the RNG stream and edge set stay
-            // identical to the graph-returning variant.
-            return Ok(self
-                .generate_inner(None, Some(policy), rng, observer)?
-                .edge_vec());
+    /// The observer sees CL sampling as [`SynthesisStage::EdgeSample`] and
+    /// the optional orphan post-process (Algorithm 2) as
+    /// [`SynthesisStage::Rewire`]; no clock is read here.
+    fn sample(&self, spec: &SampleSpec<'_>, rng: &mut dyn RngCore) -> Result<Sample> {
+        let acceptance = spec.acceptance_for(self.num_nodes())?;
+        let observer = spec.observer();
+        observer.stage_start(SynthesisStage::EdgeSample);
+        // Only the chunked sampler can stop at the edge list. Algorithm 2
+        // rewires *through* the graph (drawing from the same RNG), so with
+        // orphans enabled every output kind takes the graph path.
+        if let (SampleOutput::EdgeList, Some(policy), false) =
+            (spec.output(), spec.policy(), self.postprocess_orphans)
+        {
+            let edges =
+                sample_cl_edge_list_chunked(&self.pi, self.target_edges, acceptance, policy, rng);
+            observer.stage_end(SynthesisStage::EdgeSample);
+            return Ok(Sample::EdgeList(edges));
         }
-        self.generate_edge_list_inner(None, policy, rng, observer)
-    }
-
-    fn generate_with_acceptance_edge_list_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        ctx.check_node_count(self.degrees.len())?;
+        let (mut graph, _order) = sample_cl_graph(
+            self.num_nodes(),
+            &self.pi,
+            self.target_edges,
+            acceptance,
+            spec.policy(),
+            rng,
+        );
+        observer.stage_end(SynthesisStage::EdgeSample);
         if self.postprocess_orphans {
-            return Ok(self
-                .generate_inner(Some(ctx), Some(policy), rng, observer)?
-                .edge_vec());
+            observer.stage_start(SynthesisStage::Rewire);
+            wire_orphans(&mut graph, &self.degrees, &self.pi, rng);
+            observer.stage_end(SynthesisStage::Rewire);
         }
-        self.generate_edge_list_inner(Some(ctx), policy, rng, observer)
+        spec.finish(graph)
     }
 }
 
@@ -493,6 +408,7 @@ pub(crate) fn sample_uniform<'a, T, R: Rng + ?Sized>(slice: &'a [T], rng: &mut R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::sample_graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -515,7 +431,7 @@ mod tests {
         let degrees = power_lawish_degrees(300);
         let model = ChungLuModel::new(degrees.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         assert_eq!(g.num_nodes(), 300);
         assert_eq!(g.num_edges(), model.target_edges());
         g.check_consistency().unwrap();
@@ -533,7 +449,7 @@ mod tests {
         let mut d0 = 0usize;
         let mut d_rest = 0usize;
         for _ in 0..20 {
-            let g = model.generate(&mut rng).unwrap();
+            let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
             d0 += g.degree(0);
             d_rest += g.degree(100);
         }
@@ -554,7 +470,7 @@ mod tests {
         let ctx = AcceptanceContext::new(codes, schema, vec![0.0, 1.0, 1.0]).unwrap();
         let model = ChungLuModel::new(degrees).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph().with_acceptance(&ctx), &mut rng).unwrap();
         for e in g.edges() {
             let cfg = g.edge_config(e.u, e.v);
             assert_ne!(cfg, 0, "edge {e:?} has forbidden configuration 0-0");
@@ -570,7 +486,9 @@ mod tests {
         let ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
         let model = ChungLuModel::new(vec![2, 2, 2]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(model.generate_with_acceptance(&ctx, &mut rng).is_err());
+        assert!(
+            sample_graph(&model, &SampleSpec::graph().with_acceptance(&ctx), &mut rng).is_err()
+        );
     }
 
     #[test]
@@ -584,7 +502,7 @@ mod tests {
             .unwrap()
             .with_orphan_postprocessing(true);
         let mut rng = StdRng::seed_from_u64(5);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         assert!(
             agmdp_graph::components::is_connected(&g),
             "post-processed graph must be connected"
@@ -605,8 +523,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let model = ChungLuModel::new(power_lawish_degrees(100)).unwrap();
-        let g1 = model.generate(&mut StdRng::seed_from_u64(9)).unwrap();
-        let g2 = model.generate(&mut StdRng::seed_from_u64(9)).unwrap();
+        let g1 = sample_graph(&model, &SampleSpec::graph(), &mut StdRng::seed_from_u64(9)).unwrap();
+        let g2 = sample_graph(&model, &SampleSpec::graph(), &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(g1.edge_vec(), g2.edge_vec());
     }
 
@@ -617,9 +535,8 @@ mod tests {
         let model = ChungLuModel::new(power_lawish_degrees(400)).unwrap();
         let generate = |threads: usize| {
             let policy = ExecPolicy::new(threads).with_chunk_size(64);
-            model
-                .generate_par(&policy, &mut StdRng::seed_from_u64(11))
-                .unwrap()
+            let spec = SampleSpec::graph().with_policy(&policy);
+            sample_graph(&model, &spec, &mut StdRng::seed_from_u64(11)).unwrap()
         };
         let serial = generate(1);
         assert_eq!(serial.num_edges(), model.target_edges());
@@ -640,9 +557,10 @@ mod tests {
         let model = ChungLuModel::new(vec![4usize; n]).unwrap();
         let generate = |threads: usize| {
             let policy = ExecPolicy::new(threads).with_chunk_size(128);
-            model
-                .generate_with_acceptance_par(&ctx, &policy, &mut StdRng::seed_from_u64(12))
-                .unwrap()
+            let spec = SampleSpec::graph()
+                .with_acceptance(&ctx)
+                .with_policy(&policy);
+            sample_graph(&model, &spec, &mut StdRng::seed_from_u64(12)).unwrap()
         };
         let serial = generate(1);
         for e in serial.edges() {
@@ -651,13 +569,11 @@ mod tests {
         assert_eq!(generate(8).edge_vec(), serial.edge_vec());
         // Mismatched contexts are rejected on the parallel path too.
         let bad = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        assert!(model
-            .generate_with_acceptance_par(
-                &bad,
-                &ExecPolicy::serial(),
-                &mut StdRng::seed_from_u64(1)
-            )
-            .is_err());
+        let serial_policy = ExecPolicy::serial();
+        let spec = SampleSpec::graph()
+            .with_acceptance(&bad)
+            .with_policy(&serial_policy);
+        assert!(model.sample(&spec, &mut StdRng::seed_from_u64(1)).is_err());
     }
 
     #[test]
@@ -669,13 +585,11 @@ mod tests {
         let codes: Vec<u32> = (0..n as u32).map(|i| u32::from(i % 2 == 1)).collect();
         let ctx = AcceptanceContext::new(codes, schema, vec![0.0, 0.0, 0.0]).unwrap();
         let model = ChungLuModel::new(vec![3usize; n]).unwrap();
-        let g = model
-            .generate_with_acceptance_par(
-                &ctx,
-                &ExecPolicy::new(2).with_chunk_size(32),
-                &mut StdRng::seed_from_u64(13),
-            )
-            .unwrap();
+        let policy = ExecPolicy::new(2).with_chunk_size(32);
+        let spec = SampleSpec::graph()
+            .with_acceptance(&ctx)
+            .with_policy(&policy);
+        let g = sample_graph(&model, &spec, &mut StdRng::seed_from_u64(13)).unwrap();
         assert_eq!(g.num_edges(), 0);
     }
 }

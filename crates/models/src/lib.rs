@@ -6,20 +6,23 @@
 //! * [`pi`] — the Chung-Lu node-sampling distribution π (probability of a node
 //!   proportional to its desired degree), implemented as a Walker alias table
 //!   (`O(n)` memory, integer-exact construction) so samples take constant
-//!   time without the FCL repeated-id pool's `O(2m)` footprint.
+//!   time; `PiSampler::from_degrees_excluding` drops the degree-one nodes
+//!   for the orphan extension.
 //! * [`chung_lu`] — the Fast Chung-Lu (FCL) edge sampler, with optional
-//!   AGM acceptance probabilities.
+//!   AGM acceptance probabilities; its CL seed phase (sequential, or chunked
+//!   under an [`ExecPolicy`]) is shared by all three models.
 //! * [`tcl`] — the Transitive Chung-Lu model of Pfeiffer et al. with its
 //!   EM-estimated transitive-closure parameter ρ (used as a non-private
 //!   baseline in Figures 2–3).
 //! * [`tricycle`] — the paper's new **TriCycLe** model (Algorithm 1): a CL
 //!   seed graph refined by triangle-targeted edge rewiring.
-//! * [`postprocess`] — the orphan-node post-processing of Algorithm 2 and the
-//!   degree-one extension.
+//! * [`postprocess`] — the orphan-node post-processing of Algorithm 2.
 //! * [`baselines`] — uniform-edge (Erdős–Rényi with fixed edge count) and
 //!   uniform-correlation baselines used for calibration in Section 5.2.
-//! * [`acceptance`] — the [`acceptance::StructuralModel`] trait and the
-//!   acceptance-probability context through which AGM-DP plugs the learned
+//! * [`acceptance`] — the [`StructuralModel`] trait, whose one operation
+//!   [`StructuralModel::sample`] takes a [`SampleSpec`] (acceptance filter,
+//!   execution policy, stage observer, output kind) and returns a [`Sample`],
+//!   and the [`AcceptanceContext`] through which AGM-DP plugs the learned
 //!   attribute correlations into any structural model.
 //! * [`parallel`] — the deterministic parallel synthesis engine: a chunked
 //!   work-stealing executor, the per-chunk RNG derivation that makes
@@ -28,6 +31,7 @@
 //! * [`observe`] — the clock-free [`observe::StageObserver`] hooks through
 //!   which the service layer times pipeline stages without this crate ever
 //!   reading a wall clock.
+//! * [`error`] — [`ModelError`], the crate's one error type.
 //!
 //! All generation takes a caller-provided RNG so experiments are reproducible.
 
@@ -45,7 +49,7 @@ pub mod postprocess;
 pub mod tcl;
 pub mod tricycle;
 
-pub use acceptance::{AcceptanceContext, StructuralModel};
+pub use acceptance::{AcceptanceContext, Sample, SampleOutput, SampleSpec, StructuralModel};
 pub use chung_lu::ChungLuModel;
 pub use error::ModelError;
 pub use observe::{NoopStageObserver, StageObserver, SynthesisStage};

@@ -22,12 +22,12 @@ use rand::Rng;
 use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::AttributedGraph;
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
-use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
+use crate::acceptance::{Sample, SampleSpec, StructuralModel};
+use crate::chung_lu::{sample_cl_graph, sample_uniform};
 use crate::error::ModelError;
-use crate::parallel::ExecPolicy;
+use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
 use crate::Result;
 
@@ -38,6 +38,9 @@ pub struct TclModel {
     degrees: Vec<usize>,
     rho: f64,
     max_iteration_factor: usize,
+    /// The π alias table, built once at construction and shared by every
+    /// sample call.
+    pi: PiSampler,
 }
 
 impl TclModel {
@@ -55,10 +58,12 @@ impl TclModel {
                 "transitive closure probability must lie in [0, 1], got {rho}"
             )));
         }
+        let pi = PiSampler::from_degrees(&degrees)?;
         Ok(Self {
             degrees,
             rho,
             max_iteration_factor: 60,
+            pi,
         })
     }
 
@@ -87,31 +92,29 @@ impl TclModel {
     pub fn target_edges(&self) -> usize {
         (self.degrees.iter().sum::<usize>() as f64 / 2.0).round() as usize
     }
+}
 
-    /// Generation body. The Chung-Lu seed phase — the `O(m)` bulk of the
-    /// work — runs through the chunked parallel sampler when a `policy` is
-    /// given; the edge-replacement refinement that follows is inherently
-    /// sequential (every replacement reads the evolving graph) and always
-    /// runs on the caller's RNG, so its stream is identical for every thread
-    /// count.
-    fn generate_inner(
-        &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        let n = self.degrees.len();
-        let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
+impl StructuralModel for TclModel {
+    fn num_nodes(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// The Chung-Lu seed phase — the `O(m)` bulk of the work — runs through
+    /// the chunked parallel sampler when the spec carries a policy; the
+    /// edge-replacement refinement that follows is inherently sequential
+    /// (every replacement reads the evolving graph) and always runs on the
+    /// caller's RNG, so its stream is identical for every thread count.
+    ///
+    /// TCL has no separate rewiring stage: the observer sees the whole run
+    /// as one [`SynthesisStage::EdgeSample`].
+    fn sample(&self, spec: &SampleSpec<'_>, rng: &mut dyn RngCore) -> Result<Sample> {
+        let acceptance = spec.acceptance_for(self.num_nodes())?;
         let m = self.target_edges().max(1);
-        let pi = PiSampler::from_degrees(&self.degrees)?;
+        let pi = &self.pi;
 
-        let (mut graph, order) = match policy {
-            Some(policy) => sample_cl_edges_chunked(n, &pi, m, schema, acceptance, policy, rng),
-            None => sample_cl_edges(n, &pi, m, schema, acceptance, rng),
-        };
-        if let Some(ctx) = acceptance {
-            ctx.apply_attributes(&mut graph)?;
-        }
+        spec.observer().stage_start(SynthesisStage::EdgeSample);
+        let (mut graph, order) =
+            sample_cl_graph(self.num_nodes(), pi, m, acceptance, spec.policy(), rng);
         let seed_count = order.len();
         let mut ages: VecDeque<Edge> = order.into();
 
@@ -156,40 +159,8 @@ impl TclModel {
             ages.push_back(Edge::new(vi, vj));
             replaced += 1;
         }
-        Ok(graph)
-    }
-}
-
-impl StructuralModel for TclModel {
-    fn num_nodes(&self) -> usize {
-        self.degrees.len()
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng)
-    }
-
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng)
+        spec.observer().stage_end(SynthesisStage::EdgeSample);
+        spec.finish(graph)
     }
 }
 
@@ -260,8 +231,10 @@ pub fn estimate_rho(graph: &AttributedGraph, em_iterations: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::{sample_graph, AcceptanceContext};
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::triangles::count_triangles;
+    use agmdp_graph::AttributeSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -337,11 +310,9 @@ mod tests {
             "clustered input should yield substantial rho"
         );
         let mut rng = StdRng::seed_from_u64(5);
-        let tcl_graph = tcl.generate(&mut rng).unwrap();
-        let cl_graph = ChungLuModel::new(input.degrees())
-            .unwrap()
-            .generate(&mut rng)
-            .unwrap();
+        let tcl_graph = sample_graph(&tcl, &SampleSpec::graph(), &mut rng).unwrap();
+        let cl = ChungLuModel::new(input.degrees()).unwrap();
+        let cl_graph = sample_graph(&cl, &SampleSpec::graph(), &mut rng).unwrap();
         assert!(count_triangles(&tcl_graph) > count_triangles(&cl_graph));
         assert!(average_local_clustering(&tcl_graph) > average_local_clustering(&cl_graph));
     }
@@ -351,7 +322,7 @@ mod tests {
         let degrees = vec![4usize; 100];
         let model = TclModel::new(degrees, 0.4).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         assert_eq!(g.num_edges(), model.target_edges());
         g.check_consistency().unwrap();
     }
@@ -364,7 +335,7 @@ mod tests {
         let ctx = AcceptanceContext::new(codes, schema, vec![1.0, 0.0, 1.0]).unwrap();
         let model = TclModel::new(vec![4; n], 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph().with_acceptance(&ctx), &mut rng).unwrap();
         let mixed = g
             .edges()
             .filter(|e| g.attribute_code(e.u) != g.attribute_code(e.v))
@@ -372,6 +343,8 @@ mod tests {
         assert_eq!(mixed, 0);
         // Mismatched context is rejected.
         let bad_ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        assert!(model.generate_with_acceptance(&bad_ctx, &mut rng).is_err());
+        assert!(model
+            .sample(&SampleSpec::graph().with_acceptance(&bad_ctx), &mut rng)
+            .is_err());
     }
 }

@@ -27,13 +27,12 @@ use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::AttributedGraph;
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
-use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
+use crate::acceptance::{Sample, SampleSpec, StructuralModel};
+use crate::chung_lu::{sample_cl_graph, sample_uniform};
 use crate::error::ModelError;
-use crate::observe::{NoopStageObserver, StageObserver, SynthesisStage};
-use crate::parallel::ExecPolicy;
+use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
 use crate::postprocess::wire_orphans;
 use crate::Result;
@@ -46,7 +45,7 @@ pub struct TriCycLeModel {
     orphan_extension: bool,
     max_iteration_factor: usize,
     /// The π alias table, built once per (degrees, orphan flag) and shared
-    /// by every generate call — the AGM workflow samples from the same model
+    /// by every sample call — the AGM workflow samples from the same model
     /// four times per synthesis.
     pi: PiSampler,
 }
@@ -120,26 +119,36 @@ impl TriCycLeModel {
     pub fn target_edges(&self) -> usize {
         (self.degrees.iter().sum::<usize>() as f64 / 2.0).round() as usize
     }
+}
 
-    /// Generation body. Phase 1 (the Chung-Lu seed graph, the `O(m)` bulk)
-    /// runs through the chunked parallel sampler when a `policy` is given;
-    /// phase 2 (triangle-targeted rewiring) is inherently sequential — each
-    /// accepted replacement changes the neighbor lists the next proposal
-    /// samples from — and always draws from the caller's RNG, so its stream
-    /// is identical for every thread count.
+fn pop_oldest_present(ages: &mut VecDeque<Edge>, graph: &AttributedGraph) -> Option<Edge> {
+    while let Some(e) = ages.pop_front() {
+        if graph.has_edge(e.u, e.v) {
+            return Some(e);
+        }
+        // The edge was removed by post-processing; skip it.
+    }
+    None
+}
+
+impl StructuralModel for TriCycLeModel {
+    fn num_nodes(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// Phase 1 (the Chung-Lu seed graph, the `O(m)` bulk) runs through the
+    /// chunked parallel sampler when the spec carries a policy; phase 2
+    /// (triangle-targeted rewiring) is inherently sequential — each accepted
+    /// replacement changes the neighbor lists the next proposal samples from
+    /// — and always draws from the caller's RNG, so its stream is identical
+    /// for every thread count.
     ///
     /// The observer sees the two phases as [`SynthesisStage::EdgeSample`]
     /// (seed graph) and [`SynthesisStage::Rewire`] (triangle rewiring plus
     /// orphan post-processing); no clock is read here.
-    fn generate_inner(
-        &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        let n = self.degrees.len();
-        let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
+    fn sample(&self, spec: &SampleSpec<'_>, rng: &mut dyn RngCore) -> Result<Sample> {
+        let acceptance = spec.acceptance_for(self.num_nodes())?;
+        let observer = spec.observer();
         let m_total = self.target_edges();
 
         let pi = &self.pi;
@@ -153,18 +162,14 @@ impl TriCycLeModel {
 
         // Phase 1: Chung-Lu seed graph (with acceptance filtering when given).
         observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, order) = match policy {
-            Some(policy) => {
-                sample_cl_edges_chunked(n, pi, seed_edges, schema, acceptance, policy, rng)
-            }
-            None => sample_cl_edges(n, pi, seed_edges, schema, acceptance, rng),
-        };
-        if let Some(ctx) = acceptance {
-            if let Err(e) = ctx.apply_attributes(&mut graph) {
-                observer.stage_end(SynthesisStage::EdgeSample);
-                return Err(e);
-            }
-        }
+        let (mut graph, order) = sample_cl_graph(
+            self.num_nodes(),
+            pi,
+            seed_edges,
+            acceptance,
+            spec.policy(),
+            rng,
+        );
         if self.orphan_extension {
             wire_orphans(&mut graph, &self.degrees, pi, rng);
         }
@@ -220,83 +225,18 @@ impl TriCycLeModel {
         if self.orphan_extension {
             wire_orphans(&mut graph, &self.degrees, pi, rng);
         }
-        let result = match acceptance {
-            Some(ctx) => ctx.apply_attributes(&mut graph).map(|()| graph),
-            None => Ok(graph),
-        };
         observer.stage_end(SynthesisStage::Rewire);
-        result
-    }
-}
-
-fn pop_oldest_present(ages: &mut VecDeque<Edge>, graph: &AttributedGraph) -> Option<Edge> {
-    while let Some(e) = ages.pop_front() {
-        if graph.has_edge(e.u, e.v) {
-            return Some(e);
-        }
-        // The edge was removed by post-processing; skip it.
-    }
-    None
-}
-
-impl StructuralModel for TriCycLeModel {
-    fn num_nodes(&self) -> usize {
-        self.degrees.len()
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng, &NoopStageObserver)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, observer)
-    }
-
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, observer)
+        spec.finish(graph)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::{sample_graph, AcceptanceContext};
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::components::is_connected;
+    use agmdp_graph::AttributeSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -328,7 +268,7 @@ mod tests {
             .unwrap()
             .with_orphan_extension(false);
         let mut rng = StdRng::seed_from_u64(11);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         let triangles = count_triangles(&g);
         assert!(
             triangles >= target,
@@ -343,14 +283,10 @@ mod tests {
         let degrees = test_degrees(200);
         let target = 250u64;
         let mut rng = StdRng::seed_from_u64(12);
-        let tri = TriCycLeModel::new(degrees.clone(), target)
-            .unwrap()
-            .generate(&mut rng)
-            .unwrap();
-        let cl = ChungLuModel::new(degrees)
-            .unwrap()
-            .generate(&mut rng)
-            .unwrap();
+        let tri_model = TriCycLeModel::new(degrees.clone(), target).unwrap();
+        let tri = sample_graph(&tri_model, &SampleSpec::graph(), &mut rng).unwrap();
+        let cl_model = ChungLuModel::new(degrees).unwrap();
+        let cl = sample_graph(&cl_model, &SampleSpec::graph(), &mut rng).unwrap();
         assert!(
             count_triangles(&tri) > count_triangles(&cl),
             "TriCycLe should create more triangles than CL"
@@ -364,7 +300,7 @@ mod tests {
         let m_target: usize = degrees.iter().sum::<usize>() / 2;
         let model = TriCycLeModel::new(degrees, 100).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         let m = g.num_edges() as f64;
         assert!(
             (m - m_target as f64).abs() / m_target as f64 <= 0.15,
@@ -380,7 +316,7 @@ mod tests {
         }
         let model = TriCycLeModel::new(degrees, 60).unwrap();
         let mut rng = StdRng::seed_from_u64(14);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         assert!(
             is_connected(&g),
             "orphan extension must produce a connected graph"
@@ -396,7 +332,7 @@ mod tests {
             .with_orphan_extension(false)
             .with_max_iteration_factor(5);
         let mut rng = StdRng::seed_from_u64(15);
-        let g = model.generate(&mut rng).unwrap();
+        let g = sample_graph(&model, &SampleSpec::graph(), &mut rng).unwrap();
         assert!(count_triangles(&g) < 1_000);
     }
 
@@ -412,7 +348,8 @@ mod tests {
             .unwrap()
             .with_orphan_extension(false);
         let mut rng = StdRng::seed_from_u64(16);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let spec = SampleSpec::graph().with_acceptance(&ctx);
+        let g = sample_graph(&model, &spec, &mut rng).unwrap();
         let mixed = g
             .edges()
             .filter(|e| g.attribute_code(e.u) != g.attribute_code(e.v))
@@ -427,14 +364,18 @@ mod tests {
         let ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
         let model = TriCycLeModel::new(vec![2, 2, 2], 1).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
-        assert!(model.generate_with_acceptance(&ctx, &mut rng).is_err());
+        assert!(model
+            .sample(&SampleSpec::graph().with_acceptance(&ctx), &mut rng)
+            .is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let model = TriCycLeModel::new(test_degrees(80), 50).unwrap();
-        let g1 = model.generate(&mut StdRng::seed_from_u64(21)).unwrap();
-        let g2 = model.generate(&mut StdRng::seed_from_u64(21)).unwrap();
+        let g1 =
+            sample_graph(&model, &SampleSpec::graph(), &mut StdRng::seed_from_u64(21)).unwrap();
+        let g2 =
+            sample_graph(&model, &SampleSpec::graph(), &mut StdRng::seed_from_u64(21)).unwrap();
         assert_eq!(g1.edge_vec(), g2.edge_vec());
     }
 }

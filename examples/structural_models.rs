@@ -44,15 +44,18 @@ fn main() {
     let fcl = ChungLuModel::new(degrees.clone())
         .unwrap()
         .with_orphan_postprocessing(true)
-        .generate(&mut rng)
+        .sample(&SampleSpec::graph(), &mut rng)
+        .and_then(Sample::into_graph)
         .unwrap();
     let tcl = TclModel::fit(&input, 10)
         .unwrap()
-        .generate(&mut rng)
+        .sample(&SampleSpec::graph(), &mut rng)
+        .and_then(Sample::into_graph)
         .unwrap();
     let tricycle = TriCycLeModel::new(degrees, count_triangles(&input))
         .unwrap()
-        .generate(&mut rng)
+        .sample(&SampleSpec::graph(), &mut rng)
+        .and_then(Sample::into_graph)
         .unwrap();
 
     println!("synthetic graphs (non-private structural models):");

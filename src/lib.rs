@@ -75,6 +75,8 @@ pub mod prelude {
     pub use agmdp_eval::{DatasetRef, EpsilonSpec, EvalPlan, EvalReport, UtilityReport};
     pub use agmdp_graph::{AttributeSchema, AttributedGraph, FrozenGraph, GraphBuilder, GraphView};
     pub use agmdp_metrics::GraphComparison;
-    pub use agmdp_models::{ChungLuModel, StructuralModel, TclModel, TriCycLeModel};
+    pub use agmdp_models::{
+        ChungLuModel, Sample, SampleSpec, StructuralModel, TclModel, TriCycLeModel,
+    };
     pub use agmdp_privacy::{BudgetSplit, LaplaceMechanism, PrivacyBudget};
 }

@@ -18,6 +18,11 @@
 //! The mmap tiers never copy the arrays — registering a 1M-node graph drops
 //! from tens of milliseconds to microseconds.
 //!
+//! `common_neighbors_{hub_leaf,balanced}_pokec` time 1,000 common-neighbor
+//! counts on the Pokec stand-in (`pokec@0.05`): hubs against low-degree
+//! nodes, the pairs TriCycLe's degree-biased proposals produce, and pairs of
+//! similar degree.
+//!
 //! `AGMDP_BENCH_JSON=BENCH_graph.json cargo bench -p agmdp-bench --bench
 //! graphops` reproduces the committed numbers (single-core container: the
 //! CSR wins recorded there are cache-locality wins, not threading).
@@ -31,10 +36,11 @@ use agmdp_core::params::{ThetaF, ThetaM, ThetaX};
 use agmdp_core::workflow::{
     synthesize_from_parameters, AgmConfig, LearnedParameters, Privacy, StructuralModelKind,
 };
+use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::clustering::global_clustering;
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{io, AttributeSchema, AttributedGraph, MappedGraph};
+use agmdp_graph::{io, AttributeSchema, AttributedGraph, MappedGraph, NodeId};
 use agmdp_metrics::distance::ks_statistic;
 use agmdp_metrics::GraphComparison;
 
@@ -151,6 +157,43 @@ fn graphops(c: &mut Criterion) {
         std::fs::remove_file(&agb_path).ok();
         group.finish();
     }
+
+    // Common-neighbor counts on a skewed graph: the 10 highest-degree nodes
+    // against 100 nodes of degree at most 10, and 1,000 pairs of neighbours
+    // in the degree order.
+    let pokec = generate_dataset(&DatasetSpec::pokec().scaled(0.05), 2016).expect("pokec");
+    let mut by_degree: Vec<NodeId> = pokec.nodes().collect();
+    by_degree.sort_by_key(|&v| (std::cmp::Reverse(pokec.degree(v)), v));
+    let small: Vec<NodeId> = by_degree
+        .iter()
+        .copied()
+        .filter(|&v| (1..=10).contains(&pokec.degree(v)))
+        .collect();
+    let hub_leaf: Vec<(NodeId, NodeId)> = by_degree[..10]
+        .iter()
+        .flat_map(|&h| (0..100).map(move |k| (h, k)))
+        .map(|(h, k)| (h, small[k * small.len() / 100]))
+        .collect();
+    let balanced: Vec<(NodeId, NodeId)> = (0..1_000)
+        .map(|k| {
+            let r = k * (by_degree.len() - 1) / 1_000;
+            (by_degree[r], by_degree[r + 1])
+        })
+        .collect();
+    let mut group = c.benchmark_group("graphops");
+    group.sample_size(20);
+    for (label, pairs) in [("hub_leaf", &hub_leaf), ("balanced", &balanced)] {
+        group.bench_function(format!("common_neighbors_{label}_pokec"), |b| {
+            b.iter(|| {
+                let total: usize = pairs
+                    .iter()
+                    .map(|&(u, v)| pokec.common_neighbor_count(u, v))
+                    .sum();
+                black_box(total)
+            });
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, graphops);

@@ -216,7 +216,8 @@ impl FrozenGraph {
         GraphView::has_edge(self, u, v)
     }
 
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|` by sorted merge.
+    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|` (see
+    /// [`GraphView::common_neighbor_count`]).
     #[must_use]
     pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
         GraphView::common_neighbor_count(self, u, v)

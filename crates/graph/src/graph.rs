@@ -4,8 +4,10 @@
 //! node set `{0, …, n-1}` and a `w`-bit attribute code on every node
 //! (Section 2.1 of the paper). Adjacency is stored as sorted neighbor lists,
 //! which keeps edge existence queries at `O(log d)`, neighbor iteration
-//! allocation-free, and common-neighbor counting at `O(d_u + d_v)` — the
-//! operations that dominate TriCycLe generation and triangle counting.
+//! allocation-free, and common-neighbor counting to one pass over two sorted
+//! lists (a merge, or a galloping search of the longer list when one is many
+//! times longer) — the operations that dominate TriCycLe generation and
+//! triangle counting.
 
 use serde::{Deserialize, Serialize};
 
@@ -310,26 +312,11 @@ impl AttributedGraph {
         out
     }
 
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`, computed by a sorted merge.
+    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|` (see
+    /// [`GraphView::common_neighbor_count`]).
     #[must_use]
     pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        let a = &self.adjacency[u as usize];
-        let b = &self.adjacency[v as usize];
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
+        GraphView::common_neighbor_count(self, u, v)
     }
 
     /// The attribute code (`f_w` encoding) of node `v`.

@@ -118,30 +118,18 @@ pub trait GraphView {
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`, computed by a sorted merge
-    /// in `O(d_u + d_v)`.
+    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`.
+    ///
+    /// Lists of comparable length are intersected by a sorted merge in
+    /// `O(d_u + d_v)`; when one list is many times longer than the other
+    /// (a hub paired with a low-degree node) the shorter list gallops through
+    /// the longer one in `O(d_short · log(d_long / d_short))`.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
     fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        let a = self.neighbors(u);
-        let b = self.neighbors(v);
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
+        intersect_count(self.neighbors(u), self.neighbors(v))
     }
 
     /// Enumerates all edges in canonical (lexicographic) order with `u < v` —
@@ -168,6 +156,63 @@ pub trait GraphView {
         self.schema()
             .edge_config(self.attribute_code(u), self.attribute_code(v))
     }
+}
+
+/// Length ratio from which [`intersect_count`] gallops instead of merging:
+/// about where galloping starts to beat the merge on lists of 64 to 1,400
+/// entries.
+const GALLOP_RATIO: usize = 8;
+
+/// `|a ∩ b|` for two strictly increasing lists.
+///
+/// Merges when the lengths are within [`GALLOP_RATIO`] of each other;
+/// otherwise each element of the shorter list is located in the rest of the
+/// longer one by exponential search followed by binary search. Both branches
+/// return the same integer.
+pub(crate) fn intersect_count(a: &[NodeId], b: &[NodeId]) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if short.len().saturating_mul(GALLOP_RATIO) <= long.len() {
+        gallop_count(short, long)
+    } else {
+        merge_count(short, long)
+    }
+}
+
+/// Sorted merge whose steps are branch-free: on interleaved lists the
+/// comparison outcome is unpredictable, so a branch would mispredict often.
+fn merge_count(a: &[NodeId], b: &[NodeId]) -> usize {
+    let (mut i, mut j, mut count) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        count += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    count
+}
+
+fn gallop_count(short: &[NodeId], mut long: &[NodeId]) -> usize {
+    let mut count = 0;
+    for &x in short {
+        // Double `bound` while `long[bound - 1] < x`; afterwards the first
+        // element `>= x` lies in `long[bound / 2..min(bound, len)]`.
+        let mut bound = 1;
+        while bound <= long.len() && long[bound - 1] < x {
+            bound *= 2;
+        }
+        let lo = bound / 2;
+        let idx = lo + long[lo..bound.min(long.len())].partition_point(|&y| y < x);
+        if idx == long.len() {
+            break;
+        }
+        if long[idx] == x {
+            count += 1;
+            long = &long[idx + 1..];
+        } else {
+            long = &long[idx..];
+        }
+    }
+    count
 }
 
 #[cfg(test)]
@@ -265,6 +310,92 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Set-based reference for `|a ∩ b|`, independent of both kernels.
+    fn reference_count(a: &[NodeId], b: &[NodeId]) -> usize {
+        let set: std::collections::HashSet<NodeId> = a.iter().copied().collect();
+        b.iter().filter(|x| set.contains(x)).count()
+    }
+
+    fn assert_kernels_agree(a: &[NodeId], b: &[NodeId]) {
+        let expected = reference_count(a, b);
+        for (x, y) in [(a, b), (b, a)] {
+            assert_eq!(intersect_count(x, y), expected, "{x:?} ∩ {y:?}");
+            assert_eq!(merge_count(x, y), expected, "merge {x:?} ∩ {y:?}");
+        }
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        assert_eq!(
+            gallop_count(short, long),
+            expected,
+            "gallop {short:?} in {long:?}"
+        );
+    }
+
+    #[test]
+    fn intersection_kernel_edge_cases() {
+        let evens: Vec<NodeId> = (0..200).map(|x| 2 * x).collect();
+        let odds: Vec<NodeId> = (0..200).map(|x| 2 * x + 1).collect();
+        let cases: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![
+            (vec![], vec![]),
+            (vec![], evens.clone()),
+            (vec![5], vec![]),
+            (evens.clone(), odds.clone()),
+            (evens.clone(), evens.clone()),
+            (vec![7], vec![7]),
+            // Short list before, after, at both ends of, and inside the long one.
+            (vec![0, 1, 2], (0..100).collect()),
+            (vec![97, 98, 99], (0..100).collect()),
+            (vec![0, 99], (0..100).collect()),
+            (vec![0, 1, 2, 500], (3..100).collect()),
+            (vec![1000, 1001], (0..100).collect()),
+            ((0..50).collect(), (25..75).collect()),
+            ((50..100).collect(), (0..60).collect()),
+            (vec![3, 4, 199, 398, 399], evens.clone()),
+        ];
+        for (a, b) in &cases {
+            assert_kernels_agree(a, b);
+        }
+    }
+
+    #[test]
+    fn intersection_kernel_agrees_around_the_gallop_threshold() {
+        // Lengths with ratio just below, at and just above GALLOP_RATIO, so
+        // both branches of `intersect_count` and the switch between them run.
+        for short_len in [1usize, 2, 3, 8] {
+            for long_len in [
+                short_len * GALLOP_RATIO - 1,
+                short_len * GALLOP_RATIO,
+                short_len * GALLOP_RATIO + 1,
+            ] {
+                let long: Vec<NodeId> = (0..long_len as NodeId).map(|x| 3 * x).collect();
+                let step = (long_len / short_len).max(1) as NodeId;
+                // Hits (multiples of 3), misses, and a mix of both.
+                for offset in [0, 1, step] {
+                    let short: Vec<NodeId> = (0..short_len as NodeId)
+                        .map(|k| 3 * step * k + offset)
+                        .collect();
+                    assert_kernels_agree(&short, &long);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn intersection_kernel_matches_reference(
+            a in proptest::collection::vec(0u32..2_000, 0..40),
+            b in proptest::collection::vec(0u32..2_000, 0..1_200),
+        ) {
+            let sorted = |mut v: Vec<NodeId>| {
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            assert_kernels_agree(&sorted(a), &sorted(b));
         }
     }
 }

@@ -17,15 +17,29 @@
 //!   is ε-DP because the rung index of any fixed output changes by at most one
 //!   between neighboring graphs.
 //!
+//! `LS(G)` is computed exactly, without visiting every two-hop path. Because
+//! `|Γ(i) ∩ Γ(j)| ≤ min(d_i, d_j)`, a pair can only beat the best count `b`
+//! found so far if both endpoints have degree above `b`. Nodes are therefore
+//! scanned by (degree descending, id) and every pair is counted at its
+//! earlier endpoint. While scanning node `i`, partners `j` with `d_j ≤ b`
+//! are skipped: their pairs cannot exceed `b`. The scan stops at the first
+//! node with `d_i ≤ b`, since every pair not yet counted has both endpoints
+//! at or after `i` in the order and so degree at most `d_i ≤ b`. On skewed
+//! degree sequences `b` quickly exceeds the degree of the long low-degree
+//! tail, so most of the graph is never walked. The result is the same
+//! integer the all-pairs scan returns.
+//!
 //! The sampler below works rung-by-rung: rung 0 is the true count itself, rung
 //! `t ≥ 1` contains the `2 · LS^{t-1}(G)` integers between cumulative widths,
 //! and the geometric decay of the weights makes the enumeration converge
 //! quickly (it is truncated once the residual mass is negligible).
 
+use std::cmp::Reverse;
+
 use rand::Rng;
 
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::{GraphView, NodeId};
 
 use crate::error::PrivacyError;
 use crate::exponential::sample_weighted_index;
@@ -34,31 +48,43 @@ use crate::Result;
 /// Local sensitivity of triangle counting at `G`: the maximum number of common
 /// neighbors over any node pair (present or absent edge).
 ///
-/// Any pair with at least one common neighbor is at distance two through that
-/// neighbor, so it suffices to examine, for every node `u`, the pairs of
-/// neighbors of `u`. The implementation runs in `O(Σ_u d_u²)` time using a
-/// per-node counting pass and `O(n)` scratch space.
+/// Exact, with the pruned scan described in the [module docs](self): nodes
+/// are visited by (degree descending, id), each pair is counted through its
+/// two-hop paths at its earlier endpoint, partners with `d_j <= best` are
+/// skipped and the scan stops at the first node with `d_i <= best`. The
+/// work is `O(n + m)` to relabel the adjacency plus the two-hop paths whose
+/// two ends both have degree above the running maximum.
 #[must_use]
-pub fn triangle_local_sensitivity(g: &AttributedGraph) -> usize {
+pub fn triangle_local_sensitivity<G: GraphView>(g: &G) -> usize {
     let n = g.num_nodes();
     if n < 3 {
         return 0;
     }
+    let (offsets, adj) = degree_ranked_adjacency(g);
+    let degree = |r: usize| (offsets[r + 1] - offsets[r]) as usize;
+    let list = |r: usize| &adj[offsets[r] as usize..offsets[r + 1] as usize];
     let mut best = 0usize;
     let mut counter = vec![0u32; n];
     let mut touched: Vec<u32> = Vec::new();
-    for i in g.nodes() {
-        // Count, for every node j reachable in two hops from i, the number of
-        // common neighbors of (i, j).
+    for i in 0..n {
+        if degree(i) <= best {
+            break;
+        }
+        // Count, for every later-ranked j two hops from i with d_j > best,
+        // the common neighbors of (i, j). Lists are ascending in rank, so
+        // the later partners form a suffix whose degrees never increase.
         touched.clear();
-        for &u in g.neighbors(i) {
-            for &j in g.neighbors(u) {
-                if j > i {
-                    if counter[j as usize] == 0 {
-                        touched.push(j);
-                    }
-                    counter[j as usize] += 1;
+        for &u in list(i) {
+            let via = list(u as usize);
+            let later = via.partition_point(|&j| j as usize <= i);
+            for &j in &via[later..] {
+                if degree(j as usize) <= best {
+                    break;
                 }
+                if counter[j as usize] == 0 {
+                    touched.push(j);
+                }
+                counter[j as usize] += 1;
             }
         }
         for &j in &touched {
@@ -66,7 +92,37 @@ pub fn triangle_local_sensitivity(g: &AttributedGraph) -> usize {
             counter[j as usize] = 0;
         }
     }
-    best.min(n.saturating_sub(2))
+    best.min(n - 2)
+}
+
+/// The CSR adjacency of `g` relabelled by rank, where rank orders nodes by
+/// (degree descending, id): rank `r`'s neighbors are
+/// `adj[offsets[r]..offsets[r + 1]]`, in ascending rank.
+fn degree_ranked_adjacency<G: GraphView>(g: &G) -> (Vec<u32>, Vec<u32>) {
+    let n = g.num_nodes();
+    // Stable, so ids stay ascending within a degree.
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_key(|&v| Reverse(g.degree(v)));
+    let mut rank = vec![0u32; n];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    for &v in &order {
+        offsets.push(offsets[offsets.len() - 1] + g.degree(v) as u32);
+    }
+    // Filling rank by rank appends to every list in ascending rank.
+    let mut fill: Vec<u32> = offsets[..n].to_vec();
+    let mut adj = vec![0u32; offsets[n] as usize];
+    for (r, &v) in order.iter().enumerate() {
+        for &u in g.neighbors(v) {
+            let slot = &mut fill[rank[u as usize] as usize];
+            adj[*slot as usize] = r as u32;
+            *slot += 1;
+        }
+    }
+    (offsets, adj)
 }
 
 /// Result of one Ladder invocation, retained for diagnostics and tests.
@@ -88,8 +144,8 @@ pub struct LadderOutcome {
 /// Satisfies ε-differential privacy under the paper's edge-adjacency notion
 /// (attribute changes do not affect the triangle count, so the guarantee
 /// extends to attributed-graph adjacency).
-pub fn dp_triangle_count<R: Rng + ?Sized>(
-    g: &AttributedGraph,
+pub fn dp_triangle_count<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
     epsilon: f64,
     rng: &mut R,
 ) -> Result<LadderOutcome> {

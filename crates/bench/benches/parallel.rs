@@ -10,10 +10,10 @@
 //!
 //! `AGMDP_BENCH_JSON=BENCH_parallel.json cargo bench -p agmdp-bench --bench
 //! parallel` reproduces the committed numbers. The committed baseline was
-//! measured inside a container pinned to **one CPU core** (`nproc = 1`), so
-//! it records scheduling overhead rather than speedup; re-run on a multi-core
-//! host to see the engine's scaling (the thread-count grid is preserved in
-//! the JSON either way).
+//! measured inside a container with **two vCPUs** (`nproc = 2`), so the `t4`
+//! and `t8` cells run on two cores at most; re-run on a multi-core host to
+//! see the engine's scaling (the thread-count grid is preserved in the JSON
+//! either way).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -9,6 +9,12 @@
 //! slots. TCL and TriCycLe share this CL seed phase (`sample_cl_edges`
 //! sequentially, or the chunked parallel engine under a policy).
 //!
+//! The chunked engine proposes in rounds of fixed-size chunks, each with its
+//! own RNG stream. A round runs its chunks in waves and stops after the wave
+//! that fills the target, so the chunks whose edges would be discarded never
+//! run; a stable radix sort on packed edge keys finds each key's first
+//! arrival. The thread count never changes the output.
+//!
 //! The model optionally applies AGM acceptance probabilities to every proposal
 //! (used by AGM-DP-FCL) and optionally excludes degree-one nodes from π and
 //! wires them up afterwards with the orphan post-processing of Algorithm 2.
@@ -83,15 +89,18 @@ pub(crate) fn sample_cl_edges(
 ///
 /// 1. **Propose** — fill the buffer with π-sampled endpoint pairs in one
 ///    tight loop (the alias table and the RNG block stay hot in cache).
-/// 2. **Filter** — drop self-loops and edges already accepted in earlier
-///    rounds, by binary search over a flat sorted array of packed edge keys
+/// 2. **Filter** — drop self-loops and edges accepted in earlier rounds, by
+///    binary search over the sorted packed keys of the round-start snapshot
 ///    (skipped entirely against an empty snapshot, which is every proposal
 ///    of the first round). No randomness is consumed.
 /// 3. **Accept** — flip the AGM acceptance coin for each surviving pair
 ///    from the same chunk stream.
 ///
-/// The surviving candidates are then merged serially in chunk order,
-/// skipping intra-round duplicates, until the target is reached.
+/// Chunks run in waves, in chunk order, and the survivors of each wave are
+/// merged serially: a candidate is kept if it is the first arrival of its
+/// key in the round, until the target is reached. The round stops after the
+/// wave that fills the target, so chunks whose edges would be thrown away
+/// never run (see [`sample_cl_edge_list_chunked`]).
 ///
 /// The chunk layout, per-chunk draw sequence and merge order depend only on
 /// the target and the master seed drawn from `rng`, so the output is
@@ -138,11 +147,27 @@ pub(crate) fn sample_cl_graph(
 }
 
 /// The sampling core of [`sample_cl_edges_chunked`], stopping at the
-/// deduplicated edge list: same chunk layout, same draw sequence, same
-/// accepted edges in the same order — the adjacency structure is just never
-/// materialised. Callers that only need the edge multiset (the AGM
-/// refinement loop observes Θ_F of intermediate samples and discards them)
-/// use this to skip the `O(n + m)` graph build.
+/// deduplicated edge list: the adjacency structure is never materialised.
+/// Callers that only need the edge multiset (the AGM refinement loop
+/// observes Θ_F of intermediate samples and discards them) use this to skip
+/// the `O(n + m)` graph build.
+///
+/// A round's chunk layout is fixed before any chunk runs; what is lazy is
+/// how many of its chunks run. Waves of consecutive chunks run until the
+/// target is full: the first wave is sized as if every proposal survives,
+/// later ones from the round's survival rate so far, and every wave has at
+/// least `threads` chunks. This is exact, not an approximation: a chunk's
+/// survivors are a pure function of (master seed, chunk index, round-start
+/// snapshot), and the serial merge never reads past the chunk that fills
+/// the target. Keys kept by earlier waves of the same round are therefore
+/// dropped in the merge, never inside a chunk — filtering them there would
+/// skip their acceptance coins and shift the chunk's stream.
+///
+/// Each wave finds first arrivals with one stable radix sort of its
+/// (edge, arrival index) pairs on the packed key: the head of every
+/// equal-key run is the key's first arrival, and the heads come out in key
+/// order, ready to merge into the sorted key set. The round that fills the
+/// target skips that merge.
 fn sample_cl_edge_list_chunked(
     pi: &PiSampler,
     target_edges: usize,
@@ -152,21 +177,23 @@ fn sample_cl_edge_list_chunked(
 ) -> Vec<Edge> {
     let master = rng.next_u64();
     let mut order: Vec<Edge> = Vec::with_capacity(target_edges);
-    // Canonical packed keys of every accepted edge, kept sorted between
-    // rounds: later rounds' structural filter binary-searches this flat
-    // array instead of walking per-node adjacency lists, and the graph
-    // itself is only materialised once, after sampling finishes.
+    // Sorted packed keys of every kept edge. During a round, `[..split]` is
+    // the round-start snapshot the chunk filter binary-searches, and
+    // `[split..]` is a second sorted run holding the keys kept by the
+    // round's earlier waves. The graph itself is only materialised once,
+    // after sampling finishes.
     let mut accepted_keys: Vec<u64> = Vec::with_capacity(target_edges);
     let max_attempts = MAX_ATTEMPT_FACTOR
         .saturating_mul(target_edges)
         .saturating_add(1_000);
     let mut attempts = 0usize;
     let mut next_chunk = 0u64;
-    // Round-scratch buffers, allocated once and reused: dense workloads
-    // converge through a geometric tail of tiny rounds, and per-round
+    let chunk_size = policy.chunk_size();
+    // Wave-scratch buffers, allocated once and reused: dense workloads
+    // converge through a geometric tail of tiny rounds, and per-wave
     // allocations would dominate those rounds' real work.
-    let mut candidates: Vec<Edge> = Vec::new();
-    let mut by_key: Vec<(u64, u32)> = Vec::new();
+    let mut by_key: Vec<(Edge, u32)> = Vec::new();
+    let mut sort_scratch: Vec<(Edge, u32)> = Vec::new();
     let mut first_arrival: Vec<bool> = Vec::new();
     while order.len() < target_edges && attempts < max_attempts {
         let missing = target_edges - order.len();
@@ -174,80 +201,173 @@ fn sample_cl_edge_list_chunked(
             .saturating_mul(ROUND_OVERSAMPLE)
             .min(max_attempts - attempts)
             .max(1);
-        let chunk_size = policy.chunk_size();
         let num_chunks = proposals.div_ceil(chunk_size);
-        let snapshot = &accepted_keys;
         let round_base = next_chunk;
-        let batches = run_chunks(policy.threads(), num_chunks, |chunk| {
-            let mut chunk_rng = BlockRng::new(chunk_rng(master, round_base + chunk as u64));
-            let count = if chunk + 1 == num_chunks {
-                proposals - chunk * chunk_size
-            } else {
-                chunk_size
-            };
-            // Pass 1: flat proposal buffer, sized once.
-            let mut survivors: Vec<Edge> = Vec::with_capacity(count);
-            for _ in 0..count {
-                let u = pi.sample(&mut chunk_rng);
-                let v = pi.sample(&mut chunk_rng);
-                survivors.push(Edge::new(u, v));
+        let round_start = order.len();
+        let split = accepted_keys.len();
+        let mut chunks_run = 0usize;
+        while chunks_run < num_chunks && order.len() < target_edges {
+            let wave = wave_chunks(
+                target_edges - order.len(),
+                (chunks_run * chunk_size).min(proposals),
+                order.len() - round_start,
+                chunk_size,
+                policy.threads(),
+                num_chunks - chunks_run,
+            );
+            let snapshot = &accepted_keys[..split];
+            let batches = run_chunks(policy.threads(), wave, |i| {
+                let chunk = chunks_run + i;
+                let mut chunk_rng = BlockRng::new(chunk_rng(master, round_base + chunk as u64));
+                let count = if chunk + 1 == num_chunks {
+                    proposals - chunk * chunk_size
+                } else {
+                    chunk_size
+                };
+                // Pass 1: flat proposal buffer, sized once.
+                let mut survivors: Vec<Edge> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let u = pi.sample(&mut chunk_rng);
+                    let v = pi.sample(&mut chunk_rng);
+                    survivors.push(Edge::new(u, v));
+                }
+                // Pass 2: structural filter (consumes no randomness; the
+                // empty-snapshot skip therefore cannot change the stream).
+                if snapshot.is_empty() {
+                    survivors.retain(|e| e.u != e.v);
+                } else {
+                    survivors
+                        .retain(|e| e.u != e.v && snapshot.binary_search(&edge_key(e)).is_err());
+                }
+                // Pass 3: acceptance coins, drawn from the same chunk stream.
+                if let Some(ctx) = acceptance {
+                    survivors.retain(|e| ctx.accepts(e.u, e.v, &mut chunk_rng));
+                }
+                survivors
+            });
+            chunks_run += wave;
+            let candidates = || batches.iter().flatten();
+            by_key.clear();
+            by_key.reserve(batches.iter().map(Vec::len).sum());
+            by_key.extend(candidates().zip(0..).map(|(e, i)| (*e, i)));
+            radix_sort_by_key(&mut by_key, &mut sort_scratch, |(e, _)| edge_key(e));
+            // Run heads are first arrivals within the wave; a walk along the
+            // round's sorted earlier-wave keys drops those already kept.
+            first_arrival.clear();
+            first_arrival.resize(by_key.len(), false);
+            let earlier = &accepted_keys[split..];
+            let mut next_earlier = 0;
+            let mut prev_key = None;
+            for (e, idx) in &by_key {
+                let key = edge_key(e);
+                if prev_key == Some(key) {
+                    continue;
+                }
+                prev_key = Some(key);
+                while next_earlier < earlier.len() && earlier[next_earlier] < key {
+                    next_earlier += 1;
+                }
+                first_arrival[*idx as usize] = earlier.get(next_earlier) != Some(&key);
             }
-            // Pass 2: structural filter (consumes no randomness; the
-            // empty-snapshot skip therefore cannot change the stream).
-            if snapshot.is_empty() {
-                survivors.retain(|e| e.u != e.v);
-            } else {
-                survivors.retain(|e| e.u != e.v && snapshot.binary_search(&edge_key(e)).is_err());
+            for (e, &first) in candidates().zip(&first_arrival) {
+                if order.len() >= target_edges {
+                    break;
+                }
+                if first {
+                    order.push(*e);
+                }
             }
-            // Pass 3: acceptance coins, drawn from the same chunk stream.
-            if let Some(ctx) = acceptance {
-                survivors.retain(|e| ctx.accepts(e.u, e.v, &mut chunk_rng));
+            // Every first arrival was kept unless the target is now full, in
+            // which case no later wave or round reads the key set again.
+            // `by_key` lists them in key order, so they form a sorted run.
+            if order.len() < target_edges {
+                let tail = accepted_keys.len() - split;
+                accepted_keys.extend(
+                    by_key
+                        .iter()
+                        .filter(|(_, idx)| first_arrival[*idx as usize])
+                        .map(|(e, _)| edge_key(e)),
+                );
+                merge_sorted_tail(&mut accepted_keys[split..], tail);
             }
-            survivors
-        });
+        }
         next_chunk += num_chunks as u64;
         attempts += proposals;
-        // Serial merge in chunk order. Intra-round duplicates were invisible
-        // to the snapshot filter; a sort over (key, arrival index) finds each
-        // key's first arrival, which replicates one-at-a-time insertion
-        // exactly — same edges kept, in the same order — without paying a
-        // per-edge adjacency insertion.
-        candidates.clear();
-        candidates.extend(batches.into_iter().flatten());
-        by_key.clear();
-        by_key.extend(
-            candidates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (edge_key(e), i as u32)),
-        );
-        by_key.sort_unstable();
-        first_arrival.clear();
-        first_arrival.resize(candidates.len(), false);
-        let mut prev_key = None;
-        for &(key, idx) in &by_key {
-            if prev_key != Some(key) {
-                prev_key = Some(key);
-                first_arrival[idx as usize] = true;
-            }
+        if order.len() < target_edges {
+            merge_sorted_tail(&mut accepted_keys, split);
         }
-        let split = accepted_keys.len();
-        for (i, e) in candidates.iter().enumerate() {
-            if order.len() >= target_edges {
-                break;
-            }
-            if first_arrival[i] {
-                accepted_keys.push(edge_key(e));
-                order.push(*e);
-            }
-        }
-        // This round's keys form a small unsorted tail behind an already
-        // sorted prefix: sort the tail and merge in place instead of
-        // re-sorting the whole array every round.
-        accepted_keys[split..].sort_unstable();
-        merge_sorted_tail(&mut accepted_keys, split);
     }
     order
+}
+
+/// Number of chunks in a round's next wave: enough to fill the `missing`
+/// edges if proposals keep surviving at the round's rate so far (`kept` of
+/// `proposed`; every proposal survives before the first wave, and a round
+/// that has kept nothing yet counts as one kept), but never fewer than
+/// `threads` and never past the round's last chunk.
+fn wave_chunks(
+    missing: usize,
+    proposed: usize,
+    kept: usize,
+    chunk_size: usize,
+    threads: usize,
+    remaining: usize,
+) -> usize {
+    let needed = if proposed == 0 {
+        missing
+    } else {
+        missing.saturating_mul(proposed).div_ceil(kept.max(1))
+    };
+    needed.div_ceil(chunk_size).max(threads).min(remaining)
+}
+
+/// Bits per radix digit: 256 counters per digit stay resident in L1.
+const RADIX_BITS: u32 = 8;
+/// Digits per `u64` key.
+const RADIX_DIGITS: usize = (u64::BITS / RADIX_BITS) as usize;
+/// Buckets per digit.
+const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+
+/// Sorts `items` ascending by `key` with a stable LSD radix sort, so items
+/// with equal keys keep their input order.
+///
+/// One counting pass builds every digit's histogram, and a digit on which
+/// all keys agree needs no scatter pass: only the digits in use are sorted
+/// (edge keys over `n` nodes carry about `2·log₂ n` varying bits).
+/// `scratch` is working space, reused across calls.
+fn radix_sort_by_key<T: Copy>(items: &mut Vec<T>, scratch: &mut Vec<T>, key: impl Fn(&T) -> u64) {
+    let len = items.len();
+    let digit = |k: u64, d: usize| (k >> (d as u32 * RADIX_BITS)) as usize & (RADIX_BUCKETS - 1);
+    let Some(&fill) = items.first() else {
+        return;
+    };
+    scratch.clear();
+    scratch.resize(len, fill);
+    let mut counts = [[0usize; RADIX_BUCKETS]; RADIX_DIGITS];
+    for item in items.iter() {
+        let k = key(item);
+        for (d, hist) in counts.iter_mut().enumerate() {
+            hist[digit(k, d)] += 1;
+        }
+    }
+    for (d, hist) in counts.iter_mut().enumerate() {
+        // Also true for every digit of a one-item input.
+        if hist.contains(&len) {
+            continue;
+        }
+        let mut offset = 0;
+        for slot in hist.iter_mut() {
+            let count = *slot;
+            *slot = offset;
+            offset += count;
+        }
+        for item in items.iter() {
+            let bucket = &mut hist[digit(key(item), d)];
+            scratch[*bucket] = *item;
+            *bucket += 1;
+        }
+        std::mem::swap(items, scratch);
+    }
 }
 
 /// Merges a sorted `keys[..split]` prefix with a sorted `keys[split..]` tail
@@ -591,5 +711,278 @@ mod tests {
             .with_policy(&policy);
         let g = sample_graph(&model, &spec, &mut StdRng::seed_from_u64(13)).unwrap();
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The eager round the wave sampler replaced, kept verbatim as its
+    /// oracle: every chunk of a round runs, and first arrivals are found
+    /// with a comparison sort over (key, arrival index).
+    fn eager_edge_list(
+        pi: &PiSampler,
+        target_edges: usize,
+        acceptance: Option<&AcceptanceContext>,
+        policy: &ExecPolicy,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Edge> {
+        let master = rng.next_u64();
+        let mut order: Vec<Edge> = Vec::with_capacity(target_edges);
+        // Canonical packed keys of every accepted edge, kept sorted between
+        // rounds: later rounds' structural filter binary-searches this flat
+        // array instead of walking per-node adjacency lists, and the graph
+        // itself is only materialised once, after sampling finishes.
+        let mut accepted_keys: Vec<u64> = Vec::with_capacity(target_edges);
+        let max_attempts = MAX_ATTEMPT_FACTOR
+            .saturating_mul(target_edges)
+            .saturating_add(1_000);
+        let mut attempts = 0usize;
+        let mut next_chunk = 0u64;
+        // Round-scratch buffers, allocated once and reused: dense workloads
+        // converge through a geometric tail of tiny rounds, and per-round
+        // allocations would dominate those rounds' real work.
+        let mut candidates: Vec<Edge> = Vec::new();
+        let mut by_key: Vec<(u64, u32)> = Vec::new();
+        let mut first_arrival: Vec<bool> = Vec::new();
+        while order.len() < target_edges && attempts < max_attempts {
+            let missing = target_edges - order.len();
+            let proposals = missing
+                .saturating_mul(ROUND_OVERSAMPLE)
+                .min(max_attempts - attempts)
+                .max(1);
+            let chunk_size = policy.chunk_size();
+            let num_chunks = proposals.div_ceil(chunk_size);
+            let snapshot = &accepted_keys;
+            let round_base = next_chunk;
+            let batches = run_chunks(policy.threads(), num_chunks, |chunk| {
+                let mut chunk_rng = BlockRng::new(chunk_rng(master, round_base + chunk as u64));
+                let count = if chunk + 1 == num_chunks {
+                    proposals - chunk * chunk_size
+                } else {
+                    chunk_size
+                };
+                // Pass 1: flat proposal buffer, sized once.
+                let mut survivors: Vec<Edge> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let u = pi.sample(&mut chunk_rng);
+                    let v = pi.sample(&mut chunk_rng);
+                    survivors.push(Edge::new(u, v));
+                }
+                // Pass 2: structural filter (consumes no randomness; the
+                // empty-snapshot skip therefore cannot change the stream).
+                if snapshot.is_empty() {
+                    survivors.retain(|e| e.u != e.v);
+                } else {
+                    survivors
+                        .retain(|e| e.u != e.v && snapshot.binary_search(&edge_key(e)).is_err());
+                }
+                // Pass 3: acceptance coins, drawn from the same chunk stream.
+                if let Some(ctx) = acceptance {
+                    survivors.retain(|e| ctx.accepts(e.u, e.v, &mut chunk_rng));
+                }
+                survivors
+            });
+            next_chunk += num_chunks as u64;
+            attempts += proposals;
+            // Serial merge in chunk order. Intra-round duplicates were invisible
+            // to the snapshot filter; a sort over (key, arrival index) finds each
+            // key's first arrival, which replicates one-at-a-time insertion
+            // exactly — same edges kept, in the same order — without paying a
+            // per-edge adjacency insertion.
+            candidates.clear();
+            candidates.extend(batches.into_iter().flatten());
+            by_key.clear();
+            by_key.extend(
+                candidates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (edge_key(e), i as u32)),
+            );
+            by_key.sort_unstable();
+            first_arrival.clear();
+            first_arrival.resize(candidates.len(), false);
+            let mut prev_key = None;
+            for &(key, idx) in &by_key {
+                if prev_key != Some(key) {
+                    prev_key = Some(key);
+                    first_arrival[idx as usize] = true;
+                }
+            }
+            let split = accepted_keys.len();
+            for (i, e) in candidates.iter().enumerate() {
+                if order.len() >= target_edges {
+                    break;
+                }
+                if first_arrival[i] {
+                    accepted_keys.push(edge_key(e));
+                    order.push(*e);
+                }
+            }
+            // This round's keys form a small unsorted tail behind an already
+            // sorted prefix: sort the tail and merge in place instead of
+            // re-sorting the whole array every round.
+            accepted_keys[split..].sort_unstable();
+            merge_sorted_tail(&mut accepted_keys, split);
+        }
+        order
+    }
+
+    /// A small degree sequence over `n` nodes, dense enough that targets
+    /// near `n²/4` force duplicate rejections and extra rounds.
+    fn dense_degrees(n: usize, seed: u64) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(1..=n)).collect()
+    }
+
+    /// The acceptance tables of the equivalence test: none, all-1, mixed,
+    /// all-0 (every round ends at the attempt cap) and very low (many
+    /// waves and rounds).
+    fn acceptance_table(kind: u8, n: usize, mixed: [f64; 3]) -> Option<AcceptanceContext> {
+        let table = match kind {
+            0 => return None,
+            1 => [1.0; 3],
+            2 => mixed,
+            3 => [0.0; 3],
+            _ => [0.03, 0.01, 0.05],
+        };
+        let codes = (0..n as u32).map(|i| u32::from(i % 3 == 1)).collect();
+        Some(AcceptanceContext::new(codes, AttributeSchema::new(1), table.to_vec()).unwrap())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The wave sampler releases the eager oracle's edge list, in the
+        /// same order, at every chunk size and thread count, and leaves the
+        /// caller's RNG at the same position.
+        #[test]
+        fn wave_sampler_matches_eager_oracle(
+            n in 2usize..16,
+            degree_seed in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+            target_kind in 0u8..4,
+            acceptance_kind in 0u8..5,
+            chunk_kind in 0usize..4,
+            mixed in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        ) {
+            let degrees = dense_degrees(n, degree_seed);
+            let pi = PiSampler::from_degrees(&degrees).unwrap();
+            let target = match target_kind {
+                0 => 0,
+                1 => 1,
+                2 => n * n / 4 + n % 3,
+                _ => degrees.iter().sum::<usize>() / 2,
+            };
+            let ctx = acceptance_table(acceptance_kind, n, [mixed.0, mixed.1, mixed.2]);
+            let chunk_size = [1, 3, 64, ExecPolicy::DEFAULT_CHUNK_SIZE][chunk_kind];
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            let expected = eager_edge_list(
+                &pi,
+                target,
+                ctx.as_ref(),
+                &ExecPolicy::serial().with_chunk_size(chunk_size),
+                &mut oracle_rng,
+            );
+            let expected_next = oracle_rng.next_u64();
+            for threads in [1, 2, 4] {
+                let policy = ExecPolicy::new(threads).with_chunk_size(chunk_size);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let edges = sample_cl_edge_list_chunked(&pi, target, ctx.as_ref(), &policy, &mut rng);
+                proptest::prop_assert_eq!(&edges, &expected);
+                proptest::prop_assert_eq!(rng.next_u64(), expected_next);
+            }
+        }
+
+        /// The radix sort agrees with the standard library's stable sort on
+        /// random keys, including keys with many duplicates.
+        #[test]
+        fn radix_sort_matches_stable_sort(
+            keys in proptest::collection::vec(0u64..u64::MAX, 0..600),
+            few_distinct in 0u8..2,
+        ) {
+            let keys: Vec<u64> = if few_distinct == 1 {
+                keys.iter().map(|k| (k % 5) << (k % 64)).collect()
+            } else {
+                keys
+            };
+            assert_radix_sort_is_stable_sort(&keys);
+        }
+    }
+
+    #[test]
+    fn wave_sampler_matches_eager_oracle_on_sparse_graphs() {
+        // Hundreds of chunks per round: waves of many chunks, a partly run
+        // last wave, and a round that stops well before its last chunk.
+        let pi = PiSampler::from_degrees(&power_lawish_degrees(3_000)).unwrap();
+        let mixed = acceptance_table(2, 3_000, [0.2, 0.9, 0.6]);
+        for (ctx, target) in [(None, 4_000), (mixed.as_ref(), 3_000)] {
+            for chunk_size in [64, 1_000] {
+                let eager = eager_edge_list(
+                    &pi,
+                    target,
+                    ctx,
+                    &ExecPolicy::serial().with_chunk_size(chunk_size),
+                    &mut StdRng::seed_from_u64(15),
+                );
+                assert_eq!(eager.len(), target);
+                for threads in [1, 2, 4] {
+                    let policy = ExecPolicy::new(threads).with_chunk_size(chunk_size);
+                    let mut rng = StdRng::seed_from_u64(15);
+                    let waves = sample_cl_edge_list_chunked(&pi, target, ctx, &policy, &mut rng);
+                    assert_eq!(waves, eager, "chunk size {chunk_size}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// Sorts `(key, input position)` pairs both ways and compares them.
+    fn assert_radix_sort_is_stable_sort(keys: &[u64]) {
+        let mut items: Vec<(u64, u32)> = keys.iter().zip(0..).map(|(&k, i)| (k, i)).collect();
+        let mut expected = items.clone();
+        expected.sort_by_key(|&(key, _)| key);
+        radix_sort_by_key(&mut items, &mut Vec::new(), |&(key, _)| key);
+        assert_eq!(items, expected);
+    }
+
+    #[test]
+    fn radix_sort_uses_all_64_bits_of_edge_keys() {
+        // Node ids near u32::MAX put varying digits in both key halves.
+        let mut rng = StdRng::seed_from_u64(14);
+        let keys: Vec<u64> = (0..2_000)
+            .map(|_| {
+                let u = u32::MAX - rng.gen_range(0..300);
+                let v = rng.gen_range(0..u32::MAX);
+                edge_key(&Edge::new(u, v))
+            })
+            .collect();
+        assert!(keys.iter().any(|&k| k >> 56 == 0xFF));
+        assert_radix_sort_is_stable_sort(&keys);
+    }
+
+    #[test]
+    fn radix_sort_edge_cases() {
+        assert_radix_sort_is_stable_sort(&[]);
+        assert_radix_sort_is_stable_sort(&[u64::MAX]);
+        // All-equal keys: every digit is skipped, arrival order is kept.
+        let mut items: Vec<(u64, u32)> = (0..100).map(|i| (0xDEAD_BEEF, i)).collect();
+        radix_sort_by_key(&mut items, &mut Vec::new(), |&(key, _)| key);
+        assert!(items.iter().map(|&(_, i)| i).eq(0..100));
+        // A reused scratch buffer with stale contents does not leak into
+        // the next sort.
+        let mut scratch = vec![(7, 7); 3];
+        let mut items = vec![(3u64, 0u32), (1, 1), (3, 2), (u64::MAX, 3), (0, 4)];
+        radix_sort_by_key(&mut items, &mut scratch, |&(key, _)| key);
+        assert_eq!(items, [(0, 4), (1, 1), (3, 0), (3, 2), (u64::MAX, 3)]);
+    }
+
+    #[test]
+    fn wave_sizes_follow_the_survival_rate() {
+        // Before any chunk runs, every proposal is assumed to survive.
+        assert_eq!(wave_chunks(1_000, 0, 0, 100, 1, 50), 10);
+        // Half of the proposals survived: twice the chunks.
+        assert_eq!(wave_chunks(1_000, 400, 200, 100, 1, 50), 20);
+        // Never fewer than `threads`, never past the round's last chunk.
+        assert_eq!(wave_chunks(1, 0, 0, 100, 4, 50), 4);
+        assert_eq!(wave_chunks(1_000, 0, 0, 100, 4, 3), 3);
+        // Nothing kept yet counts as one kept proposal.
+        assert_eq!(wave_chunks(10, 100, 0, 100, 1, 50), 10);
+        assert_eq!(wave_chunks(10, 1_000, 0, 100, 1, 50), 50);
     }
 }
